@@ -24,7 +24,14 @@
 #   test         the default suite — fast and deterministic, the per-commit
 #                gate (includes cardest-lint's fixture self-tests and the
 #                workspace meta-gate, so the lint gate also fires for
-#                contributors who only run `cargo test`);
+#                contributors who only run `cargo test`; the vendored shims
+#                under shims/ are path dependencies inside the workspace
+#                directory, hence implicit members, so their own unit tests
+#                run here too);
+#   perfbench    the serving benchmark's own tests (perfbench/ is a
+#                workspace of its own, so `--workspace` never reaches it):
+#                a change to the server API the benchmark calls fails here
+#                instead of at benchmark time;
 #   fault        the fault-injection lane — corrupted artifacts, poisoned
 #                weights and malformed queries must surface as typed errors
 #                or recorded fallbacks, never as panics (run separately so
@@ -90,6 +97,7 @@ lane cardest-lint cargo run -p cardest-lint ${CARGO_FLAGS:-} -- --format=json --
 lane clippy       cargo clippy --workspace --all-targets ${CARGO_FLAGS:-} -- -D warnings
 lane bench-build  cargo bench --workspace ${CARGO_FLAGS:-} --no-run
 lane test         cargo test --workspace ${CARGO_FLAGS:-} -q
+lane perfbench    cargo test --manifest-path perfbench/Cargo.toml ${CARGO_FLAGS:-} -q
 lane fault        cargo test -p cardest ${CARGO_FLAGS:-} -q --test fault_injection
 lane serve        cargo test -p cardest-server ${CARGO_FLAGS:-} -q --test http_smoke
 lane ingest       sh -c "cargo test -p cardest-store ${CARGO_FLAGS:-} -q \

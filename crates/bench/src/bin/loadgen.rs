@@ -42,7 +42,6 @@ use cardest_data::vector::VectorView;
 use cardest_data::workload::SearchWorkload;
 use cardest_nn::trainer::TrainConfig;
 use cardest_server::client::HttpClient;
-use cardest_server::coalesce::CoalesceConfig;
 use cardest_server::model::repr_of;
 use cardest_server::registry::SharedFallback;
 use cardest_server::{
@@ -157,11 +156,6 @@ fn setup(quick: bool) -> Bench {
     let handle = Server::start(
         ServerConfig {
             workers: 6,
-            coalesce: CoalesceConfig {
-                window: Duration::from_micros(200),
-                max_batch: 64,
-                cap: 4096,
-            },
             ..ServerConfig::default()
         },
         Arc::new(registry),
@@ -383,11 +377,6 @@ fn run_ingest(args: &Args) {
     let handle = Server::start_with_ingest(
         ServerConfig {
             workers: 6,
-            coalesce: CoalesceConfig {
-                window: Duration::from_micros(200),
-                max_batch: 64,
-                cap: 4096,
-            },
             ..ServerConfig::default()
         },
         registry,
@@ -567,11 +556,6 @@ impl ReplFixture {
         let handle = Server::start_replicated(
             ServerConfig {
                 workers: 4,
-                coalesce: CoalesceConfig {
-                    window: Duration::from_micros(200),
-                    max_batch: 64,
-                    cap: 4096,
-                },
                 ..ServerConfig::default()
             },
             registry,
@@ -976,7 +960,6 @@ fn main() {
                     Value::UInt(if args.quick { 1_000 } else { 4_000 }),
                 ),
                 ("workers".to_string(), Value::UInt(6)),
-                ("coalesce_window_us".to_string(), Value::UInt(200)),
                 ("clients".to_string(), Value::UInt(clients as u64)),
                 ("quick".to_string(), Value::Bool(args.quick)),
             ]),

@@ -265,12 +265,17 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar.
-                    let s = std::str::from_utf8(rest)
+                    // Copy the run up to the next `"` or `\\` in one piece.
+                    // Both are ASCII, so the run ends on a character
+                    // boundary and validates on its own.
+                    let len = rest
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|e| Error::msg(format!("invalid utf-8: {e}")))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -329,6 +334,60 @@ mod tests {
         write_value(&v, &mut s);
         let back: Value = from_str(&s).expect("parse");
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn multi_byte_text_round_trips_next_to_escapes() {
+        let text = r#"{"kä\"y✓":"é\n日本\u00e9β\"γ\\ü","\u2713x":"🦀"}"#;
+        let v: Value = from_str(text).expect("parse");
+        let expected = Value::Map(vec![
+            (
+                "kä\"y✓".to_string(),
+                Value::Str("é\n日本éβ\"γ\\ü".to_string()),
+            ),
+            ("✓x".to_string(), Value::Str("🦀".to_string())),
+        ]);
+        assert_eq!(v, expected);
+        let back: Value = from_slice(&to_vec(&v).expect("serialize")).expect("reparse");
+        assert_eq!(back, expected);
+    }
+
+    #[test]
+    fn unterminated_strings_are_errors() {
+        for text in [r#""abc"#, r#"{"a":"b"#, r#""é✓"#, r#""abc\"#, r#""x\""#] {
+            assert!(from_str::<Value>(text).is_err(), "{text}");
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_is_an_error() {
+        for bytes in [&b"\"\xff\""[..], b"{\"k\xc3\":1}", b"\"ok\" \xe2\x9c"] {
+            assert!(from_slice::<Value>(bytes).is_err(), "{bytes:?}");
+        }
+    }
+
+    #[test]
+    fn many_keys_before_a_large_array_parse_in_linear_time() {
+        // Scanning the rest of the input once per string character made
+        // this shape (an artifact's keys, then its weights) quadratic.
+        let mut text = String::from("{");
+        for i in 0..20_000 {
+            text.push_str(&format!("\"k{i}\":{i},"));
+        }
+        text.push_str("\"w\":[");
+        for i in 0..400_000 {
+            text.push_str(if i == 0 { "0.123456" } else { ",0.123456" });
+        }
+        text.push_str("]}");
+        assert!(text.len() > 3_000_000);
+        let start = std::time::Instant::now();
+        let v: Value = from_str(&text).expect("parse");
+        let elapsed = start.elapsed();
+        let Value::Map(entries) = v else {
+            panic!("not a map")
+        };
+        assert_eq!(entries.len(), 20_001);
+        assert!(elapsed.as_secs_f64() < 5.0, "parse took {elapsed:?}");
     }
 
     #[test]
