@@ -5,9 +5,9 @@
 #
 # Lanes, in order:
 #   fmt          rustfmt as a pure check;
-#   cardest-lint the workspace invariant checker (crates/lint): the lexical
-#                rules (determinism, decode clamping, float total order,
-#                panic paths, unsafe hygiene, kernel casts) plus the
+#   cardest-lint the workspace invariant checker (crates/lint) for what
+#                clippy cannot express: the lexical rules (determinism
+#                scoped to library crates, decode clamping) plus the
 #                semantic call-graph pass (--semantic: panic reachability
 #                from serving entry points, lock discipline, durability
 #                protocol, error taxonomy). Machine-readable JSON on
@@ -16,9 +16,13 @@
 #                non-zero only on *new* non-allowed findings. Runs before
 #                everything heavy because it needs only the
 #                zero-dependency lint crate;
-#   clippy       -D warnings; clippy.toml's disallowed-methods cross-check
-#                the cardest-lint rules from the type-resolved side, and
-#                library crates carry clippy::unwrap_used/expect_used;
+#   clippy       -D warnings. Owns panics, float comparisons and allow
+#                reasons (crate-root attributes), kernel casts
+#                (as_conversions in the two kernel files) and NaN-unsafe
+#                ordering (clippy.toml); rustc's unsafe_code = "forbid"
+#                ([workspace.lints] in Cargo.toml) owns unsafe. Then the negative controls: clippy must fire each
+#                of those lints on crates/lint/fixtures/clippy and stay
+#                silent on its clean file;
 #   bench-build  benches must keep compiling (perf regression harness),
 #                but running them is not a CI concern;
 #   test         the default suite — fast and deterministic, the per-commit
@@ -94,7 +98,8 @@ lane() {
 lane fmt          cargo fmt --all --check
 lane cardest-lint cargo run -p cardest-lint ${CARGO_FLAGS:-} -- --format=json --semantic \
                       --baseline=crates/lint/baseline.txt --report=LINT_REPORT.json crates
-lane clippy       cargo clippy --workspace --all-targets ${CARGO_FLAGS:-} -- -D warnings
+lane clippy       sh -c "cargo clippy --workspace --all-targets ${CARGO_FLAGS:-} -- -D warnings \
+                      && crates/lint/fixtures/clippy/check.sh ${CARGO_FLAGS:-}"
 lane bench-build  cargo bench --workspace ${CARGO_FLAGS:-} --no-run
 lane test         cargo test --workspace ${CARGO_FLAGS:-} -q
 lane perfbench    cargo test --manifest-path perfbench/Cargo.toml ${CARGO_FLAGS:-} -q

@@ -214,7 +214,7 @@ impl CardNet {
                     let gcum = grad_log[r] / (chat + 1e-3);
                     for j in 0..=bucket.min(self.buckets - 1) {
                         let w = if j == bucket { frac } else { 1.0 };
-                        // cardest-lint: allow(float-total-order): w is either the 1.0 literal or frac; 0.0 is an exact sentinel
+                        // w is either the 1.0 literal or frac; 0.0 is an exact sentinel
                         if w == 0.0 {
                             continue;
                         }

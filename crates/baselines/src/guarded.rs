@@ -181,11 +181,10 @@ impl<E: CardinalityEstimator, F: CardinalityEstimator> GuardedEstimator<E, F> {
 
     fn clamp(&self, v: f32) -> f32 {
         let cap = self.n_data as f32;
-        let c = v.clamp(0.0, cap);
-        if c != v {
+        if v < 0.0 || v > cap {
             self.clamped.fetch_add(1, Ordering::Relaxed);
         }
-        c
+        v.clamp(0.0, cap)
     }
 
     /// Raises estimates to a running max across consecutive entries that

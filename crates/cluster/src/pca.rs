@@ -61,7 +61,7 @@ impl Pca {
                     *p = dot(&buf, qk);
                 }
                 for (zk, &p) in z.iter_mut().zip(&proj) {
-                    // cardest-lint: allow(float-total-order): exact zero skip of no-op rank-1 updates, not a tolerance check
+                    // exact zero skip of no-op rank-1 updates, not a tolerance check
                     if p != 0.0 {
                         for (zj, &xj) in zk.iter_mut().zip(&buf) {
                             *zj += (p * xj) as f64;

@@ -117,7 +117,6 @@ pub struct JoinEstimator {
 impl JoinEstimator {
     /// Trains a search model, transfers it to the join setting and
     /// fine-tunes the output modules on labelled join sets.
-    #[allow(clippy::too_many_arguments)]
     pub fn train(
         data: &VectorData,
         metric: Metric,
@@ -338,7 +337,6 @@ fn gl_join_infer(gl: &GlEstimator, queries: &VectorData, member_ids: &[usize], t
 
 /// Immutable counterpart of [`pooled_head_forward`]: sum-pooled embeddings
 /// for the routed rows, one head evaluation, no cache writes.
-#[allow(clippy::too_many_arguments)]
 fn pooled_head_infer(
     local: &BranchNet,
     xq: &Matrix,
@@ -515,10 +513,10 @@ fn pooled_head_backward(local: &mut BranchNet, routed_len: usize, grad_out: f32)
 }
 
 /// One fine-tuning step of the global-local join model on one join set.
-// The slot-take `expect`s encode a real invariant — each segment is
-// routed at most once per step — and a violation must abort training
-// rather than silently corrupt two jobs' exclusive borrows.
-#[allow(clippy::expect_used)]
+#[allow(
+    clippy::expect_used,
+    reason = "the routing pass de-duplicates segments; a second slot take would alias a local model"
+)]
 fn finetune_gl_step(
     gl: &mut GlEstimator,
     queries: &VectorData,
@@ -551,9 +549,7 @@ fn finetune_gl_step(
             continue; // cap active: no gradient flows
         }
         let g_o = g_total * uncapped;
-        // cardest-lint: allow(panic-path): the routing pass de-duplicates segments; a second take would alias a local model
         let local = slots[seg].take().expect("segment routed at most once");
-        // cardest-lint: allow(panic-path): the routing pass de-duplicates segments; a second take would alias a local model
         let opt = opt_slots[seg].take().expect("segment routed at most once");
         jobs.push((seg, (local, opt, routed.len(), g_o), routed.len()));
     }

@@ -32,8 +32,8 @@ impl SegmentLabels {
             let seg_cards =
                 table.segment_cardinalities(s.query, s.tau, segmentation.assignment(), n_segments);
             debug_assert_eq!(
-                seg_cards.iter().sum::<u32>() as f32,
-                s.card,
+                seg_cards.iter().sum::<u32>(),
+                s.card as u32,
                 "segment cardinalities must partition the total"
             );
             cards.extend(seg_cards.into_iter().map(|c| c as f32));

@@ -1,10 +1,17 @@
-// Library (non-test) code must not panic on malformed input: surface
-// typed errors instead. Tests may unwrap freely.
-// The workspace is 100% safe Rust; `cardest-lint` (unsafe-block rule) and
-// this forbid cross-check each other.
-#![forbid(unsafe_code)]
-#![warn(clippy::unwrap_used, clippy::expect_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+// Library code neither panics nor compares floats exactly (DESIGN.md §10).
+#![warn(clippy::allow_attributes_without_reason)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp
+    )
+)]
 
 //! # cardest-core
 //!
@@ -33,7 +40,9 @@
 //!   online ingestion path should fine-tune (per-segment probe Q-error
 //!   against a median-normalized baseline),
 //! * [`backoff`] — the shared jittered-exponential-backoff policy every
-//!   retry/reconnect loop (replication client, fine-tune worker) uses.
+//!   retry/reconnect loop (replication client, fine-tune worker) uses,
+//! * [`clock`] — the one sanctioned wall-clock access point for the
+//!   serving and store layers.
 //!
 //! Every estimator implements
 //! [`cardest_baselines::traits::CardinalityEstimator`], so the bench
@@ -41,6 +50,7 @@
 
 pub mod arch;
 pub mod backoff;
+pub mod clock;
 pub mod drift;
 pub mod gl;
 pub mod global;

@@ -101,8 +101,10 @@ fn stack_shape(dim: usize, layers: &[ConvSpec]) -> (usize, usize) {
 }
 
 /// Candidate values for each hyperparameter, filtered to fit `in_len`.
-// `choose` on non-empty literal arrays cannot fail.
-#[allow(clippy::expect_used)]
+#[allow(
+    clippy::expect_used,
+    reason = "choose() on a non-empty literal array cannot return None"
+)]
 fn candidate_specs(rng: &mut StdRng, in_len: usize) -> Option<ConvSpec> {
     if in_len == 0 {
         return None;
@@ -114,20 +116,15 @@ fn candidate_specs(rng: &mut StdRng, in_len: usize) -> Option<ConvSpec> {
     let kernel = *kernels.choose(rng)?;
     let stride = *[kernel, (kernel / 2).max(1), 1]
         .choose(rng)
-        // cardest-lint: allow(panic-path): choose() on a non-empty literal array cannot return None
         .expect("non-empty stride candidates");
     let spec = ConvSpec {
-        // cardest-lint: allow(panic-path): choose() on a non-empty literal array cannot return None
         out_channels: *[2usize, 4, 8].choose(rng).expect("non-empty"),
         kernel,
         stride,
-        // cardest-lint: allow(panic-path): choose() on a non-empty literal array cannot return None
         padding: *[0usize, kernel / 2].choose(rng).expect("non-empty"),
-        // cardest-lint: allow(panic-path): choose() on a non-empty literal array cannot return None
         pool_size: *[1usize, 2, 4].choose(rng).expect("non-empty"),
         pool: *[PoolOp::Max, PoolOp::Avg, PoolOp::Sum]
             .choose(rng)
-            // cardest-lint: allow(panic-path): choose() on a non-empty literal array cannot return None
             .expect("non-empty"),
     };
     Conv1d::spec_fits(in_len, &spec).then_some(spec)
@@ -202,7 +199,10 @@ fn field_candidates(field: usize, current: &ConvSpec, in_len: usize) -> Vec<Conv
 
 /// Trains a trial model with the given conv stack and returns its mean
 /// validation Q-error.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "each argument is a distinct precomputed training cache; a struct would only rename the list"
+)]
 fn evaluate_stack(
     dim: usize,
     layers: &[ConvSpec],

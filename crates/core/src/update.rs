@@ -81,7 +81,10 @@ pub struct UpdatableGl {
 impl UpdatableGl {
     /// Wraps a trained estimator together with the labelled workload it
     /// was trained on.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the constructor takes the trained estimator's inputs one-to-one"
+    )]
     pub fn new(
         data: VectorData,
         metric: Metric,
@@ -286,9 +289,10 @@ impl UpdatableGl {
     /// Short fine-tuning of the local models owning the affected segments,
     /// fanned across scoped threads (each affected segment's model and
     /// sample subset are independent given the patched labels).
-    // The slot-take `expect` encodes the de-duplicated `affected` list
-    // invariant; a violation must abort rather than alias a local model.
-    #[allow(clippy::expect_used)]
+    #[allow(
+        clippy::expect_used,
+        reason = "the `affected` list is de-duplicated; a second slot take would alias a local model"
+    )]
     fn finetune_locals(&mut self, affected: &[usize]) {
         let dim = self.queries.dim();
         let tau_scale = self.gl.tau_scale();
@@ -305,7 +309,7 @@ impl UpdatableGl {
                 .filter(|&j| self.seg_cards[j][seg] > 0.0)
                 .collect();
             let zeros: Vec<usize> = (0..self.train.len())
-                // cardest-lint: allow(float-total-order): exact zero sentinel — labels are set to the 0.0 literal, never computed
+                // exact zero sentinel — labels are set to the 0.0 literal, never computed
                 .filter(|&j| self.seg_cards[j][seg] == 0.0)
                 .take(chosen.len().max(16))
                 .collect();
@@ -331,7 +335,6 @@ impl UpdatableGl {
         let jobs: Vec<_> = seg_chosen
             .into_iter()
             .map(|(seg, chosen)| {
-                // cardest-lint: allow(panic-path): the `affected` list is de-duplicated; a second take would alias a local model
                 let local = slots[seg].take().expect("affected segments are unique");
                 let weight = chosen.len();
                 (seg, (local, chosen), weight)

@@ -1,3 +1,5 @@
+// IEEE-exact kernel file: every `as` cast needs a reasoned allow.
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
 //! Shared slice-level distance kernels.
 //!
 //! Every metric in [`crate::metric`] reduces to a handful of dense `f32`
@@ -203,7 +205,10 @@ pub fn expand_bits_into(words: &[u64], dim: usize, buf: &mut Vec<f32>) {
     buf.reserve(dim);
     for j in 0..dim {
         let bit = (words[j / 64] >> (j % 64)) & 1;
-        // cardest-lint: allow(kernel-hygiene): bit is 0 or 1; the u64→f32 cast is exact
+        #[allow(
+            clippy::as_conversions,
+            reason = "bit is 0 or 1; the u64→f32 cast is exact"
+        )]
         buf.push(bit as f32);
     }
 }

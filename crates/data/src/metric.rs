@@ -210,7 +210,7 @@ impl Metric {
             Metric::Jaccard => {
                 // Ruzicka / generalized Jaccard on non-negative operands.
                 let (mins, maxs) = kernels::minmax_sums(x, y);
-                // cardest-lint: allow(float-total-order): exact zero guard against division by zero, not a tolerance check
+                // exact zero guard against division by zero, not a tolerance check
                 if maxs == 0.0 {
                     0.0
                 } else {
@@ -261,7 +261,7 @@ impl Metric {
     /// distant by convention, and rounding is clamped out of `acos`'s
     /// domain edges.
     fn finish_angle(self, dot: f32, na: f32, nb: f32) -> f32 {
-        // cardest-lint: allow(float-total-order): exact zero guard against division by zero, not a tolerance check
+        // exact zero guard against division by zero, not a tolerance check
         if na == 0.0 || nb == 0.0 {
             return 1.0;
         }
@@ -356,7 +356,7 @@ pub mod reference {
                     na += x * x;
                     nb += y * y;
                 }
-                // cardest-lint: allow(float-total-order): exact zero guard against division by zero, not a tolerance check
+                // exact zero guard against division by zero, not a tolerance check
                 if na == 0.0 || nb == 0.0 {
                     return 1.0;
                 }
@@ -384,7 +384,7 @@ pub mod reference {
                     mins += x.min(y);
                     maxs += x.max(y);
                 }
-                // cardest-lint: allow(float-total-order): exact zero guard against division by zero, not a tolerance check
+                // exact zero guard against division by zero, not a tolerance check
                 if maxs == 0.0 {
                     0.0
                 } else {

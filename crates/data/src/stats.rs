@@ -44,7 +44,7 @@ impl SelectivityStats {
             median: pick(0.5),
             p90: pick(0.9),
             max: sels.last().copied().unwrap_or(0.0),
-            // cardest-lint: allow(float-total-order): ground-truth cards are exact integer-valued floats; 0.0 is exact
+            // ground-truth cards are exact integer-valued floats; 0.0 is exact
             zero_fraction: samples.iter().filter(|s| s.card == 0.0).count() as f32 / n as f32,
             count: n,
         }

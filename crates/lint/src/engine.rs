@@ -64,8 +64,9 @@ pub fn collect_rs_files(path: &Path, out: &mut Vec<PathBuf>) -> Result<(), Strin
     Ok(())
 }
 
-/// Lints every `.rs` file reachable from `paths`.
-pub fn lint_paths(paths: &[PathBuf]) -> Result<Report, String> {
+/// Reads every `.rs` file reachable from `paths` as `(display_path,
+/// source)` pairs, sorted and de-duplicated.
+pub fn read_sources(paths: &[PathBuf]) -> Result<Vec<(String, String)>, String> {
     let mut files = Vec::new();
     for p in paths {
         if !p.exists() {
@@ -75,11 +76,19 @@ pub fn lint_paths(paths: &[PathBuf]) -> Result<Report, String> {
     }
     files.sort();
     files.dedup();
-    let mut report = Report::default();
+    let mut sources = Vec::with_capacity(files.len());
     for f in &files {
         let bytes = fs::read(f).map_err(|e| format!("cannot read {}: {e}", f.display()))?;
-        let src = String::from_utf8_lossy(&bytes);
         let display = f.to_string_lossy().replace('\\', "/");
+        sources.push((display, String::from_utf8_lossy(&bytes).into_owned()));
+    }
+    Ok(sources)
+}
+
+/// Lints every `.rs` file reachable from `paths`.
+pub fn lint_paths(paths: &[PathBuf]) -> Result<Report, String> {
+    let mut report = Report::default();
+    for (display, src) in read_sources(paths)? {
         let file_report = lint_source(&display, &src);
         report.diagnostics.extend(file_report.diagnostics);
         report.allows_used += file_report.allows_used;
@@ -107,7 +116,6 @@ pub fn lint_source(display_path: &str, src: &str) -> Report {
         display_path: display_path.to_string(),
         toks: &lexed.toks,
         in_test: &in_test,
-        comments: &lexed.comments,
     };
 
     let mut diags: Vec<Diagnostic> = Vec::new();
@@ -188,22 +196,7 @@ pub fn lint_source(display_path: &str, src: &str) -> Report {
 /// from `paths`. Unlike [`lint_paths`], the whole file set is analyzed as
 /// one workspace: calls resolve across files and crates.
 pub fn lint_paths_semantic(paths: &[PathBuf]) -> Result<Report, String> {
-    let mut files = Vec::new();
-    for p in paths {
-        if !p.exists() {
-            return Err(format!("no such path: {}", p.display()));
-        }
-        collect_rs_files(p, &mut files)?;
-    }
-    files.sort();
-    files.dedup();
-    let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
-    for f in &files {
-        let bytes = fs::read(f).map_err(|e| format!("cannot read {}: {e}", f.display()))?;
-        let display = f.to_string_lossy().replace('\\', "/");
-        sources.push((display, String::from_utf8_lossy(&bytes).into_owned()));
-    }
-    Ok(lint_sources_semantic(&sources))
+    Ok(lint_sources_semantic(&read_sources(paths)?))
 }
 
 /// Semantic pass over in-memory `(display_path, source)` pairs. Exposed so
@@ -494,29 +487,29 @@ mod tests {
     #[test]
     fn suppression_requires_matching_rule_and_line() {
         let path = "crates/data/src/x.rs";
-        let fire = "pub fn f(v: Option<u32>) -> u32 { v.unwrap() }\n";
+        let fire = "pub fn f(v: f32) -> f32 { v.exp() }\n";
         assert_eq!(lint_source(path, fire).diagnostics.len(), 1);
 
-        let allowed = "pub fn f(v: Option<u32>) -> u32 {\n    \
-                       v.unwrap() // cardest-lint: allow(panic-path): caller checked is_some\n}\n";
+        let allowed = "pub fn f(v: f32) -> f32 {\n    \
+                       v.exp() // cardest-lint: allow(raw-exp-decode): softplus math, not a decode\n}\n";
         let rep = lint_source(path, allowed);
         assert!(rep.is_clean(), "{:?}", rep.diagnostics);
         assert_eq!(rep.allows_used, 1);
 
-        let wrong_rule = "pub fn f(v: Option<u32>) -> u32 {\n    \
-                          v.unwrap() // cardest-lint: allow(unsafe-block): mismatched rule\n}\n";
+        let wrong_rule = "pub fn f(v: f32) -> f32 {\n    \
+                          v.exp() // cardest-lint: allow(nondeterminism): mismatched rule\n}\n";
         assert_eq!(lint_source(path, wrong_rule).diagnostics.len(), 1);
     }
 
     #[test]
     fn reasonless_allow_is_a_bad_pragma_and_does_not_suppress() {
         let path = "crates/data/src/x.rs";
-        let src = "pub fn f(v: Option<u32>) -> u32 {\n    \
-                   v.unwrap() // cardest-lint: allow(panic-path)\n}\n";
+        let src = "pub fn f(v: f32) -> f32 {\n    \
+                   v.exp() // cardest-lint: allow(raw-exp-decode)\n}\n";
         let rep = lint_source(path, src);
         let rules_hit: Vec<&str> = rep.diagnostics.iter().map(|d| d.rule).collect();
         assert!(rules_hit.contains(&"bad-pragma"));
-        assert!(rules_hit.contains(&"panic-path"));
+        assert!(rules_hit.contains(&"raw-exp-decode"));
     }
 
     #[test]
@@ -525,7 +518,7 @@ mod tests {
             diagnostics: vec![Diagnostic {
                 file: "a\"b.rs".to_string(),
                 line: 3,
-                rule: "panic-path",
+                rule: "raw-exp-decode",
                 message: "tab\there".to_string(),
                 ..Diagnostic::default()
             }],

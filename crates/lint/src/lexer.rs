@@ -27,10 +27,8 @@ pub enum TokKind {
     Str,
     /// Char or byte-char literal (`'a'`, `b'\n'`).
     Char,
-    /// Integer literal (including hex/octal/binary and `_` separators).
-    Int,
-    /// Float literal (`1.0`, `1e-3`, `2f32`, ...).
-    Float,
+    /// Numeric literal with its suffix (`0x1f`, `1_000`, `1.5e-3`, `2f32`).
+    Number,
     /// Lifetime (`'a`) or loop label.
     Lifetime,
 }
@@ -120,8 +118,8 @@ pub fn lex(src: &str) -> Lexed {
             }
             '\'' => lex_char_or_lifetime(&mut cur, &mut out),
             c if c.is_ascii_digit() => {
-                let (text, kind) = lex_number(&mut cur);
-                push_tok(&mut cur, &mut out, kind, text, line);
+                let text = lex_number(&mut cur);
+                push_tok(&mut cur, &mut out, TokKind::Number, text, line);
             }
             c if is_ident_start(c) => {
                 let ident = lex_ident(&mut cur);
@@ -352,117 +350,39 @@ fn lex_char_or_lifetime(cur: &mut Cursor, out: &mut Lexed) {
     }
 }
 
-fn lex_number(cur: &mut Cursor) -> (String, TokKind) {
-    let mut s = String::new();
-    let mut kind = TokKind::Int;
-    // Base-prefixed integers: 0x / 0o / 0b followed by alphanumerics.
-    if cur.peek(0) == Some('0') && matches!(cur.peek(1), Some('x') | Some('o') | Some('b')) {
-        s.push('0');
-        cur.bump();
-        if let Some(base) = cur.bump() {
-            s.push(base);
-        }
-        while let Some(c) = cur.peek(0) {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                s.push(c);
-                cur.bump();
-            } else {
-                break;
-            }
-        }
-        return (s, TokKind::Int);
-    }
-    while let Some(c) = cur.peek(0) {
-        if c.is_ascii_digit() || c == '_' {
+fn lex_number(cur: &mut Cursor) -> String {
+    fn take_while(cur: &mut Cursor, s: &mut String, ok: impl Fn(char) -> bool) {
+        while let Some(c) = cur.peek(0).filter(|&c| ok(c)) {
             s.push(c);
             cur.bump();
-        } else {
-            break;
         }
     }
+    let mut s = String::new();
+    take_while(cur, &mut s, |c| c.is_ascii_digit() || c == '_');
     // A decimal point only belongs to the number when a digit follows
     // (`1.5`), so ranges (`0..n`) and method calls (`1.max(2)`) stay
     // separate tokens.
     if cur.peek(0) == Some('.') && cur.peek(1).is_some_and(|c| c.is_ascii_digit()) {
-        kind = TokKind::Float;
         s.push('.');
         cur.bump();
-        while let Some(c) = cur.peek(0) {
-            if c.is_ascii_digit() || c == '_' {
+        take_while(cur, &mut s, |c| c.is_ascii_digit() || c == '_');
+    }
+    // Signed exponent: 1e-3, 1.5E+9 (unsigned ones fall to the suffix).
+    if matches!(cur.peek(0), Some('e') | Some('E'))
+        && matches!(cur.peek(1), Some('+') | Some('-'))
+        && cur.peek(2).is_some_and(|c| c.is_ascii_digit())
+    {
+        for _ in 0..2 {
+            if let Some(c) = cur.bump() {
                 s.push(c);
-                cur.bump();
-            } else {
-                break;
             }
         }
     }
-    // Exponent: 1e9, 1.5e-3.
-    if matches!(cur.peek(0), Some('e') | Some('E')) {
-        let sign_ok = match cur.peek(1) {
-            Some('+') | Some('-') => cur.peek(2).is_some_and(|c| c.is_ascii_digit()),
-            Some(c) => c.is_ascii_digit(),
-            None => false,
-        };
-        if sign_ok {
-            kind = TokKind::Float;
-            s.push('e');
-            cur.bump();
-            if matches!(cur.peek(0), Some('+') | Some('-')) {
-                if let Some(sign) = cur.bump() {
-                    s.push(sign);
-                }
-            }
-            while let Some(c) = cur.peek(0) {
-                if c.is_ascii_digit() || c == '_' {
-                    s.push(c);
-                    cur.bump();
-                } else {
-                    break;
-                }
-            }
-        }
-    }
-    // Type suffix: 1f32 / 1.0f64 force Float; 1u8 stays Int.
-    if matches!(cur.peek(0), Some('f')) {
-        let mut suffix = String::new();
-        let mut ahead = 0usize;
-        while let Some(c) = cur.peek(ahead) {
-            if is_ident_continue(c) {
-                suffix.push(c);
-                ahead += 1;
-            } else {
-                break;
-            }
-        }
-        if suffix == "f32" || suffix == "f64" {
-            kind = TokKind::Float;
-            for _ in 0..ahead {
-                cur.bump();
-            }
-            s.push_str(&suffix);
-        }
-    } else if cur.peek(0).is_some_and(is_ident_start) {
-        let mut ahead = 0usize;
-        let mut suffix = String::new();
-        while let Some(c) = cur.peek(ahead) {
-            if is_ident_continue(c) {
-                suffix.push(c);
-                ahead += 1;
-            } else {
-                break;
-            }
-        }
-        const INT_SUFFIXES: [&str; 12] = [
-            "i8", "i16", "i32", "i64", "i128", "isize", "u8", "u16", "u32", "u64", "u128", "usize",
-        ];
-        if INT_SUFFIXES.contains(&suffix.as_str()) {
-            for _ in 0..ahead {
-                cur.bump();
-            }
-            s.push_str(&suffix);
-        }
-    }
-    (s, kind)
+    // Hex/octal/binary digits, exponent digits and type suffixes (`0x1f`,
+    // `1e9`, `2f32`, `3usize`): in valid Rust, identifier characters
+    // directly after a number always belong to it.
+    take_while(cur, &mut s, is_ident_continue);
+    s
 }
 
 #[cfg(test)]
@@ -522,25 +442,20 @@ mod tests {
     }
 
     #[test]
-    fn numbers_classify_int_vs_float() {
-        let src = "let a = 1; let b = 1.5; let c = 1e-3; let d = 2f32; let e = 0x1f; let r = 0..n; let u = 3usize;";
-        let l = lex(src);
-        let floats: Vec<_> = l
+    fn numbers_keep_suffixes_and_exponents_but_not_ranges() {
+        let src =
+            "let a = 1; let b = 1.5; let c = 1e-3; let d = 2f32; let e = 0x1f; let r = 0..n; \
+                   let u = 3usize; let m = 1.max(2); let g = 1e9;";
+        let numbers: Vec<_> = lex(src)
             .toks
-            .iter()
-            .filter(|t| t.kind == TokKind::Float)
-            .map(|t| t.text.clone())
+            .into_iter()
+            .filter(|t| t.kind == TokKind::Number)
+            .map(|t| t.text)
             .collect();
-        assert_eq!(floats, vec!["1.5", "1e-3", "2f32"]);
-        // The range `0..n` keeps `0` an Int and `..` a fused punct.
-        assert!(l
-            .toks
-            .iter()
-            .any(|t| t.kind == TokKind::Punct && t.text == ".."));
-        assert!(l
-            .toks
-            .iter()
-            .any(|t| t.kind == TokKind::Int && t.text == "3usize"));
+        let want = [
+            "1", "1.5", "1e-3", "2f32", "0x1f", "0", "3usize", "1", "2", "1e9",
+        ];
+        assert_eq!(numbers, want);
     }
 
     #[test]

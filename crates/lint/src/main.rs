@@ -1,6 +1,17 @@
 // Mirror the library's self-discipline in the binary crate root.
-#![forbid(unsafe_code)]
-#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::allow_attributes_without_reason)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp
+    )
+)]
 
 //! `cardest-lint` CLI: `cardest-lint [--format=text|json] [--semantic]
 //! [--baseline=FILE] [--write-baseline=FILE] [--report=FILE]

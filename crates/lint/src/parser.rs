@@ -272,7 +272,6 @@ fn impl_header(toks: &[Tok], at: usize, end: usize) -> (Option<String>, Option<u
 
 /// Parses one `fn` item starting at the `fn` keyword; returns the token
 /// index to resume scanning from.
-#[allow(clippy::too_many_arguments)]
 fn parse_fn(
     toks: &[Tok],
     in_test: &[bool],
@@ -502,7 +501,7 @@ fn delim_scan(toks: &[Tok], open: usize, op: &str, cl: &str) -> usize {
 }
 
 /// Index of the `]` closing an attribute whose contents start at `start`.
-fn attr_end(toks: &[Tok], start: usize) -> usize {
+pub(crate) fn attr_end(toks: &[Tok], start: usize) -> usize {
     let mut depth = 1usize;
     let mut i = start;
     while i < toks.len() {

@@ -8,8 +8,10 @@
 //!   loops) may `unwrap`/`expect`/`panic!`/`assert!` or index without
 //!   `get`; a panic there is a query-pipeline outage. Diagnostics carry a
 //!   witness path (`route_request -> handle_estimate -> parse_body`).
-//!   Sites under an `allow(panic-path)` pragma are documented invariant
-//!   aborts and are exempt.
+//!   Sites under a clippy `allow(<lint>, reason = "…")` for the lint that
+//!   owns the construct (`unwrap_used`, `expect_used`, `panic`, …), on the
+//!   statement or the enclosing fn, are documented invariant aborts and
+//!   are exempt.
 //! * [`LOCK_DISCIPLINE`] — per-function lock-acquisition summaries are
 //!   propagated over call edges to catch inconsistent lock-order pairs
 //!   (potential deadlock) and guards held across blocking operations
@@ -41,7 +43,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{call_args_span, CallSite, CallStyle, Graph, SourceFile};
 use crate::lexer::{Tok, TokKind};
-use crate::parser::{brace_match, is_punct, paren_match};
+use crate::parser::{attr_end, brace_match, ident_at, is_punct, paren_match};
 use crate::rules::Diagnostic;
 
 pub const SERVING_PANIC: &str = "serving-panic-reachability";
@@ -82,11 +84,16 @@ const FANOUT_CAP: usize = 4;
 
 /// Runs all semantic rules over the graph. Diagnostics are *not* yet
 /// pragma-suppressed (the engine applies `allow` pragmas afterwards),
-/// except for panic sites under `allow(panic-path)`, which are documented
-/// invariant aborts and never enter the reachability rule at all.
+/// except for documented invariant aborts (see [`panic_site_allowed`]),
+/// which never enter the reachability rule at all.
 pub fn check(graph: &Graph) -> Vec<Diagnostic> {
+    let allows: Vec<Vec<ClippyAllow>> = graph
+        .files
+        .iter()
+        .map(|f| reasoned_clippy_allows(&f.toks))
+        .collect();
     let facts: Vec<Facts> = (0..graph.nodes.len())
-        .map(|n| extract_facts(graph, n))
+        .map(|n| extract_facts(graph, n, &allows[graph.nodes[n].file]))
         .collect();
     let mut summaries: Vec<Option<Summary>> = vec![None; graph.nodes.len()];
     let mut on_stack = vec![false; graph.nodes.len()];
@@ -212,7 +219,7 @@ const STREAM_IO: [&str; 7] = [
 const STREAMISH: [&str; 4] = ["stream", "sock", "conn", "tcp"];
 const FILEISH: [&str; 5] = ["file", "tmp", "wal", "seg", "out"];
 
-fn extract_facts(graph: &Graph, n: usize) -> Facts {
+fn extract_facts(graph: &Graph, n: usize, clippy_allows: &[ClippyAllow]) -> Facts {
     let mut f = Facts::default();
     let node = &graph.nodes[n];
     let file = &graph.files[node.file];
@@ -221,6 +228,9 @@ fn extract_facts(graph: &Graph, n: usize) -> Facts {
         return f;
     };
     let toks = &file.toks;
+    let documented = |j: usize, lint: Option<&str>| {
+        panic_site_allowed(file, clippy_allows, toks[j].line, j, lint)
+    };
     let crate_name = file.crate_name().unwrap_or("");
     let server_or_store = crate_name == "server" || crate_name == "store";
 
@@ -252,7 +262,7 @@ fn extract_facts(graph: &Graph, n: usize) -> Facts {
                 && toks.get(j.wrapping_sub(1)).is_some_and(|p| {
                     p.kind == TokKind::Ident && !len_aware.contains(p.text.as_str())
                 })
-                && !panic_site_allowed(file, t.line)
+                && !documented(j, Some("indexing_slicing"))
             {
                 f.panics.push((t.line, "index"));
             }
@@ -271,18 +281,23 @@ fn extract_facts(graph: &Graph, n: usize) -> Facts {
 
         // Panic sites.
         if dot_recv && called && (name == "unwrap" || name == "expect") {
-            if !panic_site_allowed(file, t.line) {
-                f.panics
-                    .push((t.line, if name == "unwrap" { "unwrap" } else { "expect" }));
+            let (kind, lint) = if name == "unwrap" {
+                ("unwrap", "unwrap_used")
+            } else {
+                ("expect", "expect_used")
+            };
+            if !documented(j, Some(lint)) {
+                f.panics.push((t.line, kind));
             }
         } else if is_macro && PANIC_MACROS.contains(&name) {
-            if !panic_site_allowed(file, t.line) {
+            // Each panicking macro's clippy lint carries the macro's name.
+            if !documented(j, Some(name)) {
                 f.panics.push((t.line, "panic-macro"));
             }
         } else if is_macro
             && server_or_store
             && ASSERT_MACROS.contains(&name)
-            && !panic_site_allowed(file, t.line)
+            && !documented(j, None)
         {
             f.panics.push((t.line, "assert"));
         }
@@ -388,16 +403,83 @@ fn extract_facts(graph: &Graph, n: usize) -> Facts {
     f
 }
 
-/// Panic sites carrying an `allow(panic-path)` or
-/// `allow(serving-panic-reachability)` pragma are documented invariant
-/// aborts; they are filtered at fact level so reachability never reports
-/// them through a caller either.
-fn panic_site_allowed(file: &SourceFile, line: u32) -> bool {
-    file.allowed.get(&line).is_some_and(|rules| {
-        rules
-            .iter()
-            .any(|r| r == "panic-path" || r == SERVING_PANIC)
-    })
+/// A panic site is a documented invariant abort when it carries an
+/// `allow(serving-panic-reachability)` pragma, or sits under a reasoned
+/// clippy allow naming `lint`, the clippy lint that owns the construct.
+/// Documented aborts are filtered at fact level so reachability never
+/// reports them through a caller either.
+fn panic_site_allowed(
+    file: &SourceFile,
+    clippy_allows: &[ClippyAllow],
+    line: u32,
+    tok: usize,
+    lint: Option<&str>,
+) -> bool {
+    let pragma = file
+        .allowed
+        .get(&line)
+        .is_some_and(|rules| rules.iter().any(|r| r == SERVING_PANIC));
+    pragma
+        || lint.is_some_and(|lint| {
+            clippy_allows
+                .iter()
+                .any(|a| (a.span.0..=a.span.1).contains(&tok) && a.lints.iter().any(|l| l == lint))
+        })
+}
+
+/// A clippy `allow(…, reason = "…")`: the clippy lints it names (without
+/// the `clippy::` prefix) and the token span of the item or statement it
+/// sits on.
+struct ClippyAllow {
+    lints: Vec<String>,
+    span: (usize, usize),
+}
+
+/// Every reasoned clippy allow in a file's token stream.
+fn reasoned_clippy_allows(toks: &[Tok]) -> Vec<ClippyAllow> {
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        if !(is_punct(toks, i, "#") && is_punct(toks, i + 1, "[") && ident_at(toks, i + 2, "allow"))
+        {
+            continue;
+        }
+        let end = attr_end(toks, i + 2);
+        let body = &toks[i + 2..end];
+        let lints: Vec<String> = body
+            .windows(3)
+            .filter(|w| w[0].text == "clippy" && w[1].text == "::")
+            .map(|w| w[2].text.clone())
+            .collect();
+        let reason = body.windows(3).any(|w| {
+            w[0].text == "reason"
+                && w[1].text == "="
+                && w[2].kind == TokKind::Str
+                && w[2].text.len() > 2
+        });
+        if reason && !lints.is_empty() {
+            let span = (end + 1, statement_end(toks, end + 1));
+            out.push(ClippyAllow { lints, span });
+        }
+    }
+    out
+}
+
+/// Index of the last token of the item or statement starting at `from`:
+/// the first `;` outside any group or the `}` closing its first block, so
+/// an `else` branch or a chained call after a block is not covered.
+fn statement_end(toks: &[Tok], from: usize) -> usize {
+    let mut depth = 0usize;
+    for (i, t) in toks.iter().enumerate().skip(from) {
+        match t.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" if depth == 0 => return i,
+            "}" if depth == 1 => return i,
+            ")" | "]" | "}" => depth -= 1,
+            ";" if depth == 0 => return i,
+            _ => {}
+        }
+    }
+    toks.len()
 }
 
 fn chain_matches(chain: &[String], pats: &[&str]) -> bool {

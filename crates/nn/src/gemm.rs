@@ -1,3 +1,5 @@
+// IEEE-exact kernel file: every `as` cast needs a reasoned allow.
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
 //! Register-blocked GEMM kernels behind [`Matrix`](crate::tensor::Matrix)'s
 //! `matmul_*` methods.
 //!
@@ -303,7 +305,7 @@ pub mod reference {
             let ar = a.row(r);
             let br = b.row(r);
             for (i, &ai) in ar.iter().enumerate() {
-                // cardest-lint: allow(float-total-order): exact IEEE zero test to skip no-op axpy work (reference kernel, kept verbatim)
+                // exact IEEE zero test to skip no-op axpy work (reference kernel, kept verbatim)
                 if ai == 0.0 {
                     continue;
                 }
@@ -321,7 +323,7 @@ pub mod reference {
             let ar = a.row(r);
             let o = out.row_mut(r);
             for (kk, &ak) in ar.iter().enumerate() {
-                // cardest-lint: allow(float-total-order): exact IEEE zero test to skip no-op axpy work (reference kernel, kept verbatim)
+                // exact IEEE zero test to skip no-op axpy work (reference kernel, kept verbatim)
                 if ak == 0.0 {
                     continue;
                 }

@@ -167,13 +167,12 @@ impl Dense {
         y
     }
 
-    // Calling backward before forward is an API-contract violation; the
-    // cache `expect`s make that a panic rather than a silent wrong gradient.
-    #[allow(clippy::expect_used)]
+    #[allow(
+        clippy::expect_used,
+        reason = "backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient"
+    )]
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        // cardest-lint: allow(panic-path): backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient
         let x = self.cache_input.as_ref().expect("backward before forward");
-        // cardest-lint: allow(panic-path): backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient
         let y = self.cache_output.as_ref().expect("backward before forward");
         // Pre-activation gradient.
         let mut g = grad_out.clone();
@@ -488,14 +487,13 @@ impl Conv1d {
         out
     }
 
-    // Backward before forward is an API-contract violation (see Dense).
-    #[allow(clippy::expect_used)]
+    #[allow(
+        clippy::expect_used,
+        reason = "backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient"
+    )]
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        // cardest-lint: allow(panic-path): backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient
         let x = self.cache_input.as_ref().expect("backward before forward");
-        // cardest-lint: allow(panic-path): backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient
         let conv = self.cache_conv.as_ref().expect("backward before forward");
-        // cardest-lint: allow(panic-path): backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient
         let argmax = self.cache_argmax.as_ref().expect("backward before forward");
         let batch = x.rows();
         let conv_len = self.conv_len();
@@ -543,7 +541,7 @@ impl Conv1d {
             for oc in 0..self.out_channels {
                 for t in 0..conv_len {
                     let g = grow[oc * conv_len + t];
-                    // cardest-lint: allow(float-total-order): exact IEEE zero test to skip no-op axpy work, not a tolerance check
+                    // exact IEEE zero test to skip no-op axpy work, not a tolerance check
                     if g == 0.0 {
                         continue;
                     }
@@ -623,10 +621,11 @@ impl ShiftSigmoid {
         y
     }
 
-    // Backward before forward is an API-contract violation (see Dense).
-    #[allow(clippy::expect_used)]
+    #[allow(
+        clippy::expect_used,
+        reason = "backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient"
+    )]
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        // cardest-lint: allow(panic-path): backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient
         let y = self.cache_output.as_ref().expect("backward before forward");
         let mut gx = grad_out.clone();
         for (g, p) in gx.as_mut_slice().iter_mut().zip(y.as_slice()) {
@@ -686,7 +685,7 @@ impl Dropout {
 
     fn forward(&mut self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.dim, "dropout input width mismatch");
-        // cardest-lint: allow(float-total-order): p == 0.0 is an exact sentinel for "dropout disabled", set only from the literal
+        // p == 0.0 is an exact sentinel for "dropout disabled", set only from the literal
         if !self.training || self.p == 0.0 {
             self.cache_mask = None;
             return x.clone();

@@ -63,9 +63,11 @@ pub fn resolve_threads(cfg_threads: usize) -> usize {
 /// is processed exactly once and the output vector is assembled by index,
 /// so `threads = 1` and `threads = 8` return identical values whenever
 /// `work` itself is deterministic per index.
-// `expect` propagates worker panics to the caller (the standard
-// `join()` idiom); every slot is filled before the loop ends.
-#[allow(clippy::expect_used)]
+#[allow(
+    clippy::expect_used,
+    reason = "standard join() idiom re-raises a worker panic on the caller thread; \
+              every slot is filled by the serial loop, so a hole is a queue-logic bug"
+)]
 pub fn parallel_largest_first<R, F>(weights: &[usize], threads: usize, work: F) -> Vec<R>
 where
     R: Send,
@@ -84,7 +86,6 @@ where
         for &i in &order {
             out[i] = Some(work(i, &mut scratch));
         }
-        // cardest-lint: allow(panic-path): every slot is filled by the loop above; a hole is a queue-logic bug worth aborting on
         return out.into_iter().map(|r| r.expect("job ran")).collect();
     }
     let cursor = AtomicUsize::new(0);
@@ -106,7 +107,6 @@ where
             .collect();
         handles
             .into_iter()
-            // cardest-lint: allow(panic-path): standard join() idiom — re-raise a worker panic on the caller thread
             .flat_map(|h| h.join().expect("parallel training worker panicked"))
             .collect()
     });
@@ -125,9 +125,10 @@ where
 /// reproducible. Results come back sorted by key, so any downstream
 /// floating-point reduction performed in that order is bit-identical for
 /// every thread count.
-// `expect` propagates worker panics to the caller (the standard
-// `join()` idiom).
-#[allow(clippy::expect_used)]
+#[allow(
+    clippy::expect_used,
+    reason = "standard join() idiom re-raises a worker panic on the caller thread"
+)]
 pub fn fan_exclusive<T: Send, R: Send>(
     mut jobs: Vec<(usize, T, usize)>,
     threads: usize,
@@ -160,7 +161,6 @@ pub fn fan_exclusive<T: Send, R: Send>(
                 .collect();
             handles
                 .into_iter()
-                // cardest-lint: allow(panic-path): standard join() idiom — re-raise a worker panic on the caller thread
                 .flat_map(|h| h.join().expect("fan_exclusive worker panicked"))
                 .collect()
         })

@@ -210,10 +210,13 @@ impl Matrix {
 
     /// Validated output shape of [`Matrix::hconcat`]; shared with the
     /// scratch-buffer variant so both check ragged inputs up front.
+    #[allow(
+        clippy::panic,
+        reason = "zero-part hconcat has no shape; documented panic, regression-tested"
+    )]
     fn hconcat_shape(parts: &[&Matrix]) -> (usize, usize) {
         let rows = parts
             .first()
-            // cardest-lint: allow(panic-path): zero-part hconcat has no shape; documented panic, regression-tested
             .unwrap_or_else(|| panic!("hconcat of zero matrices has no defined shape"))
             .rows;
         for m in parts {

@@ -308,9 +308,11 @@ fn reduce_grads(net: &mut BranchNet, rep: &mut BranchNet) {
 /// floating-point association of the summed gradient is fixed and the
 /// result is bit-identical for any `threads`. Returns the f64 loss sum
 /// over the whole batch.
-// `expect` propagates shard-worker panics (`join()` idiom); the replica
-// pool is sized to `threads` before either branch runs.
-#[allow(clippy::expect_used)]
+#[allow(
+    clippy::expect_used,
+    reason = "standard join() idiom re-raises a shard-worker panic on the caller thread; \
+              the replica pool holds `threads >= 1` entries by construction"
+)]
 fn sharded_forward_backward(
     net: &mut BranchNet,
     replicas: &mut Vec<BranchNet>,
@@ -351,7 +353,6 @@ fn sharded_forward_backward(
         // One replica walks the shards in order; reducing after each shard
         // gives the same per-scalar association ((0 + c₀) + c₁) + … as the
         // parallel reduction below.
-        // cardest-lint: allow(panic-path): replicas has exactly `threads >= 1` entries by construction a few lines up
         let (rep, _) = replicas.split_first_mut().expect("replica exists");
         let mut total = 0.0f64;
         for &(r0, r1) in &shards {
@@ -382,7 +383,6 @@ fn sharded_forward_backward(
             ));
         }
         for (w, h) in handles {
-            // cardest-lint: allow(panic-path): standard join() idiom — re-raise a worker panic on the caller thread
             let losses = h.join().expect("gradient shard worker panicked");
             for (k, ls) in losses.into_iter().enumerate() {
                 shard_losses[w * per + k] = ls;

@@ -1,3 +1,18 @@
+// Same contracts as the library crate roots.
+#![warn(clippy::allow_attributes_without_reason)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp
+    )
+)]
+
 //! `cardest-serve` — stand up the estimation service on a synthetic
 //! paper dataset.
 //!

@@ -1,10 +1,17 @@
-// Library (non-test) code must not panic on malformed input: surface
-// typed errors instead. Tests may unwrap freely.
-// The workspace is 100% safe Rust; `cardest-lint` (unsafe-block rule) and
-// this forbid cross-check each other.
-#![forbid(unsafe_code)]
-#![warn(clippy::unwrap_used, clippy::expect_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+// Library code neither panics nor compares floats exactly (DESIGN.md §10).
+#![warn(clippy::allow_attributes_without_reason)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp
+    )
+)]
 
 //! # cardest-server
 //!
@@ -47,7 +54,6 @@
 //! in `DESIGN.md` §11.
 
 pub mod client;
-mod clock;
 pub mod coalesce;
 pub mod http;
 pub mod ingest;

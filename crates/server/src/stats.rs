@@ -3,7 +3,8 @@
 //!
 //! Latencies land in power-of-two microsecond buckets (`[2^k, 2^(k+1))`),
 //! so recording is one atomic increment and quantiles come from a bucket
-//! scan — coarse (upper-edge, 2× resolution) but allocation-free and safe
+//! scan — coarse (upper-edge capped at the maximum, 2× resolution) but
+//! allocation-free and safe
 //! to read while every worker is writing. The load generator computes its
 //! exact percentiles client-side; these histograms are the *server's*
 //! always-on view at `GET /stats`.
@@ -43,22 +44,24 @@ impl LatencyHistogram {
         self.max_us.fetch_max(us, Ordering::Relaxed);
     }
 
-    /// Upper edge (µs) of the bucket containing quantile `q` ∈ [0, 1].
+    /// Upper edge (µs) of the bucket containing quantile `q` ∈ [0, 1],
+    /// capped at the largest recorded value.
     pub fn quantile_us(&self, q: f64) -> u64 {
         let total = self.count.load(Ordering::Relaxed);
         if total == 0 {
             return 0;
         }
+        let max = self.max_us.load(Ordering::Relaxed);
         let target = ((total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
         let mut seen = 0u64;
         for (idx, b) in self.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= target {
                 // Bucket idx holds values in [2^(idx-1), 2^idx).
-                return 1u64 << idx;
+                return (1u64 << idx).min(max);
             }
         }
-        self.max_us.load(Ordering::Relaxed)
+        max
     }
 
     /// Point-in-time summary for `/stats`.
@@ -208,12 +211,12 @@ mod tests {
         for _ in 0..99 {
             h.record(100); // bucket [64, 128) → edge 128
         }
-        h.record(100_000); // bucket edge 131072
+        h.record(100_000); // bucket edge 131072, capped at the max
         let s = h.snapshot();
         assert_eq!(s.count, 100);
         assert_eq!(s.p50_us, 128);
         assert_eq!(s.p99_us, 128);
-        assert_eq!(h.quantile_us(1.0), 131_072);
+        assert_eq!(h.quantile_us(1.0), 100_000);
         assert_eq!(s.max_us, 100_000);
         assert!((s.mean_us - (99.0 * 100.0 + 100_000.0) / 100.0).abs() < 1e-9);
     }
@@ -222,7 +225,7 @@ mod tests {
     fn zero_latency_lands_in_the_first_bucket() {
         let h = LatencyHistogram::default();
         h.record(0);
-        assert_eq!(h.quantile_us(0.5), 1);
+        assert_eq!(h.quantile_us(0.5), 0, "bucket edge 1 capped at the max 0");
     }
 
     #[test]

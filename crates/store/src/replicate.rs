@@ -39,10 +39,10 @@
 //! use (bounded batches), and a slow or dead standby just accumulates
 //! lag, which [`PrimaryReplStats`] reports.
 
-use crate::clock;
 use crate::ingest::{DurableIngest, InsertReceipt, ReplicatedApply, ReplicationFetch, StoreError};
 use crate::wal::WalRecord;
 use cardest_core::backoff::{clamp_to_deadline, Backoff, BackoffConfig};
+use cardest_core::clock;
 use cardest_nn::artifact::fnv1a64;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};

@@ -91,7 +91,7 @@ pub fn sweep_stale_tmp(dir: &Path, grace: Duration) -> usize {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return 0;
     };
-    let now = crate::clock::wall();
+    let now = cardest_core::clock::wall();
     let mut swept = 0;
     for entry in entries.flatten() {
         let name = entry.file_name();
@@ -162,7 +162,7 @@ mod tests {
     /// Backdates a file's mtime so the sweep sees it as a crash dropping.
     fn backdate(path: &Path, by: Duration) {
         let f = std::fs::File::options().write(true).open(path).unwrap();
-        f.set_modified(crate::clock::wall() - by).unwrap();
+        f.set_modified(cardest_core::clock::wall() - by).unwrap();
     }
 
     #[test]

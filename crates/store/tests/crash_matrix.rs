@@ -459,7 +459,7 @@ fn snapshot_mid_stream_matches_straight_through_replay() {
         .write(true)
         .open(&dropping)
         .unwrap();
-    f.set_modified(cardest_store::clock::wall() - 2 * cardest_store::snapshot::SWEEP_GRACE)
+    f.set_modified(cardest_core::clock::wall() - 2 * cardest_store::snapshot::SWEEP_GRACE)
         .unwrap();
     drop(f);
     let (_, report) = DurableIngest::open(&dir_c, cfg_b).unwrap();
