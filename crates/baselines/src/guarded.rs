@@ -25,10 +25,11 @@
 use crate::traits::CardinalityEstimator;
 use cardest_data::validate::CardestError;
 use cardest_data::vector::{VectorData, VectorView};
+use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Snapshot of a [`GuardedEstimator`]'s counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct GuardStats {
     /// Queries that reached a (model or fallback) estimate.
     pub served: usize,

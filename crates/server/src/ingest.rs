@@ -23,6 +23,7 @@ use cardest_core::drift::{DriftConfig, DriftMonitor};
 use cardest_store::replicate::{ReplicaSource, StandbyTarget};
 use cardest_store::wal::WalRecord;
 use cardest_store::{DurableIngest, InsertReceipt, ReplicatedApply, ReplicationFetch, StoreError};
+use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -37,7 +38,7 @@ struct Inner {
 }
 
 /// Point-in-time ingestion counters for `GET /stats`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct IngestSnapshot {
     /// Inserts acknowledged since startup.
     pub inserts: u64,

@@ -46,7 +46,9 @@
 //!   counters behind `GET /stats`,
 //! * [`server`] — the `TcpListener` + fixed worker-thread pool tying it
 //!   together, exposing `POST /estimate`, `POST /estimate_batch`,
-//!   `GET /health`, `GET /stats`, and `POST /admin/reload`,
+//!   `POST /insert`, `GET /health`, `GET /ready`, `GET /stats`,
+//!   `POST /admin/reload`, `POST /admin/promote`, and
+//!   `GET /admin/fingerprint`,
 //! * [`client`] — a tiny blocking HTTP client used by the smoke battery
 //!   and the load generator.
 //!

@@ -23,6 +23,7 @@
 use cardest_baselines::guarded::{GuardStats, GuardedEstimator};
 use cardest_baselines::traits::CardinalityEstimator;
 use cardest_nn::artifact::ArtifactError;
+use serde::Serialize;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -97,11 +98,14 @@ pub struct RegistryConfig {
     pub monotone: bool,
 }
 
-/// Counts of reload outcomes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Counts of reload outcomes: `/stats`' `reloads` section.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ReloadStats {
     pub ok: u64,
     pub rejected: u64,
+    /// Retired generations still pinned by in-flight requests
+    /// (diagnostic; drained generations are swept on reload).
+    pub retired_generations: u64,
 }
 
 struct Inner {
@@ -253,20 +257,12 @@ impl ModelRegistry {
 
     /// Reload outcome counts.
     pub fn reload_stats(&self) -> ReloadStats {
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         ReloadStats {
             ok: self.reloads_ok.load(Ordering::Relaxed),
             rejected: self.reloads_rejected.load(Ordering::Relaxed),
+            retired_generations: inner.retired.len() as u64,
         }
-    }
-
-    /// Number of retired generations still pinned by in-flight requests
-    /// (diagnostic; drained generations are swept on reload).
-    pub fn retired_generations(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .retired
-            .len()
     }
 
     /// The serving configuration (dataset size, dim, representation).

@@ -206,7 +206,7 @@ fn in_flight_requests_finish_on_the_generation_they_started_with() {
     registry.reload(&fx.artifact_b).unwrap();
     assert_eq!(registry.stats().served, total_before_sweep);
     assert_eq!(
-        registry.retired_generations(),
+        registry.reload_stats().retired_generations,
         0,
         "no in-flight references → the sweep frees every retired generation"
     );

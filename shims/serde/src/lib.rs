@@ -9,6 +9,20 @@
 //! The derive macros live in the companion `serde_derive` shim and target
 //! exactly this API: [`Value`], [`Error`], [`get_field`],
 //! [`Value::expect_map`] and [`Value::expect_seq`].
+//!
+//! Field attributes are `skip`, `rename = "key"` and serialize-side
+//! `flatten` (see `tests/derive_attrs.rs`). Any other attribute fails
+//! the build, and so does `flatten` on a `Deserialize`:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct S { #[serde(default)] x: u64 }
+//! ```
+//!
+//! ```compile_fail
+//! #[derive(serde::Deserialize)]
+//! struct S { #[serde(flatten)] x: u64 }
+//! ```
 
 pub use serde_derive::{Deserialize, Serialize};
 

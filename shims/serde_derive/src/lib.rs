@@ -4,18 +4,25 @@
 //!
 //! Supported input shapes (everything this workspace derives on):
 //! * structs with named fields, honoring `#[serde(skip)]` (skipped on
-//!   serialize, `Default::default()` on deserialize);
+//!   serialize, `Default::default()` on deserialize), `#[serde(rename =
+//!   "key")]` and, on serialize only, `#[serde(flatten)]` (the field's
+//!   map entries are spliced in place; a `None` adds no keys);
 //! * enums with unit, tuple, and struct variants, externally tagged like
 //!   upstream serde_json: `"Variant"`, `{"Variant": value}`,
 //!   `{"Variant": [v0, v1]}`, `{"Variant": {..fields..}}`.
 //!
-//! Generics are intentionally unsupported and rejected with an error.
+//! Generics, any other `#[serde(..)]` attribute, and `flatten` on a
+//! `Deserialize` are rejected with an error.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
+#[derive(Default)]
 struct Field {
     name: String,
     skip: bool,
+    /// The JSON key as a Rust string literal, quotes included.
+    key: String,
+    flatten: bool,
 }
 
 enum VariantShape {
@@ -40,24 +47,31 @@ enum Item {
     },
 }
 
-/// Consumes leading `#[...]` attributes, reporting whether any of them was
-/// `#[serde(skip)]`.
-fn eat_attrs(tokens: &[TokenTree], mut i: usize) -> (usize, bool) {
-    let mut skip = false;
+/// Consumes leading `#[...]` attributes, returning the `#[serde(..)]`
+/// settings they carry (`name` and `key` are left empty).
+fn eat_attrs(tokens: &[TokenTree], mut i: usize) -> (usize, Field) {
+    let mut attrs = Field::default();
     while i + 1 < tokens.len() {
         match (&tokens[i], &tokens[i + 1]) {
             (TokenTree::Punct(p), TokenTree::Group(g))
                 if p.as_char() == '#' && g.delimiter() == Delimiter::Bracket =>
             {
                 let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-                if let Some(TokenTree::Ident(id)) = inner.first() {
+                if let [TokenTree::Ident(id), TokenTree::Group(args)] = &inner[..] {
                     if id.to_string() == "serde" {
-                        if let Some(TokenTree::Group(args)) = inner.get(1) {
-                            let txt = args.stream().to_string();
-                            if txt.split(',').any(|a| a.trim() == "skip") {
-                                skip = true;
-                            } else {
-                                panic!("serde shim: unsupported serde attribute `{txt}`");
+                        let txt = args.stream().to_string();
+                        for arg in txt.split(',').map(str::trim).filter(|a| !a.is_empty()) {
+                            match arg.split_once('=').map(|(k, v)| (k.trim(), v.trim())) {
+                                None if arg == "skip" => attrs.skip = true,
+                                None if arg == "flatten" => attrs.flatten = true,
+                                Some(("rename", lit))
+                                    if lit.len() > 1
+                                        && lit.starts_with('"')
+                                        && lit.ends_with('"') =>
+                                {
+                                    attrs.key = lit.to_string()
+                                }
+                                _ => panic!("serde shim: unsupported serde attribute `{arg}`"),
                             }
                         }
                     }
@@ -67,7 +81,16 @@ fn eat_attrs(tokens: &[TokenTree], mut i: usize) -> (usize, bool) {
             _ => break,
         }
     }
-    (i, skip)
+    (i, attrs)
+}
+
+/// [`eat_attrs`] for types and variants, which take no serde attributes.
+fn eat_plain_attrs(tokens: &[TokenTree], i: usize) -> usize {
+    let (i, attrs) = eat_attrs(tokens, i);
+    if attrs.skip || attrs.flatten || !attrs.key.is_empty() {
+        panic!("serde shim: serde attributes are only supported on fields");
+    }
+    i
 }
 
 /// Parses the named fields inside a brace group (struct body or struct
@@ -77,7 +100,7 @@ fn parse_named_fields(group: &proc_macro::Group) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        let (j, skip) = eat_attrs(&tokens, i);
+        let (j, attrs) = eat_attrs(&tokens, i);
         i = j;
         if i >= tokens.len() {
             break;
@@ -116,7 +139,12 @@ fn parse_named_fields(group: &proc_macro::Group) -> Vec<Field> {
             }
             i += 1;
         }
-        fields.push(Field { name, skip });
+        let key = if attrs.key.is_empty() {
+            format!("\"{name}\"")
+        } else {
+            attrs.key.clone()
+        };
+        fields.push(Field { name, key, ..attrs });
     }
     fields
 }
@@ -149,8 +177,7 @@ fn parse_variants(group: &proc_macro::Group) -> Vec<Variant> {
     let mut variants = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        let (j, _) = eat_attrs(&tokens, i);
-        i = j;
+        i = eat_plain_attrs(&tokens, i);
         if i >= tokens.len() {
             break;
         }
@@ -189,8 +216,7 @@ fn parse_item(input: TokenStream) -> Item {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
     loop {
-        let (j, _) = eat_attrs(&tokens, i);
-        i = j;
+        i = eat_plain_attrs(&tokens, i);
         match &tokens[i] {
             TokenTree::Ident(id) => {
                 let kw = id.to_string();
@@ -240,22 +266,51 @@ fn parse_item(input: TokenStream) -> Item {
     }
 }
 
+/// A block evaluating to the `Value::Map` of `fields`; `get` renders the
+/// expression reaching a field (`&self.x`, or a bound `x`).
+fn map_expr(fields: &[Field], get: impl Fn(&str) -> String) -> String {
+    let mut block = String::from(
+        "{ let mut m: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n",
+    );
+    for f in fields.iter().filter(|f| !f.skip) {
+        let (v, key) = (get(&f.name), &f.key);
+        block.push_str(&if f.flatten {
+            format!(
+                "match ::serde::Serialize::serialize({v}) {{\n\
+                 ::serde::Value::Map(inner) => m.extend(inner),\n\
+                 ::serde::Value::Null => {{}}\n\
+                 other => m.push(({key}.to_string(), other)),\n}}\n"
+            )
+        } else {
+            format!("m.push(({key}.to_string(), ::serde::Serialize::serialize({v})));\n")
+        });
+    }
+    block + "::serde::Value::Map(m) }"
+}
+
+/// `field: value,` initializers reading `fields` of type `ty` out of the
+/// map `m`.
+fn field_inits(fields: &[Field], ty: &str) -> String {
+    let init = |f: &Field| {
+        let n = &f.name;
+        if f.flatten {
+            panic!("serde shim: `flatten` is serialize-only; `{ty}.{n}` cannot be deserialized");
+        } else if f.skip {
+            format!("{n}: ::std::default::Default::default(),\n")
+        } else {
+            format!("{n}: ::serde::get_field(m, {}, \"{ty}\")?,\n", f.key)
+        }
+    };
+    fields.iter().map(init).collect()
+}
+
 fn gen_serialize(item: &Item) -> String {
     match item {
         Item::Struct { name, fields } => {
-            let mut pushes = String::new();
-            for f in fields.iter().filter(|f| !f.skip) {
-                pushes.push_str(&format!(
-                    "m.push((\"{n}\".to_string(), ::serde::Serialize::serialize(&self.{n})));\n",
-                    n = f.name
-                ));
-            }
+            let map = map_expr(fields, |n| format!("&self.{n}"));
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
-                 fn serialize(&self) -> ::serde::Value {{\n\
-                 let mut m: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n\
-                 {pushes}\
-                 ::serde::Value::Map(m)\n}}\n}}\n"
+                 fn serialize(&self) -> ::serde::Value {{\n{map}\n}}\n}}\n"
             )
         }
         Item::Enum { name, variants } => {
@@ -282,21 +337,14 @@ fn gen_serialize(item: &Item) -> String {
                         ));
                     }
                     VariantShape::Struct(fields) => {
-                        let binds: Vec<String> =
-                            fields.iter().map(|f| f.name.clone()).collect();
-                        let sers: Vec<String> = fields
+                        let binds: String = fields
                             .iter()
-                            .map(|f| {
-                                format!(
-                                    "(\"{n}\".to_string(), ::serde::Serialize::serialize({n}))",
-                                    n = f.name
-                                )
-                            })
+                            .filter(|f| !f.skip)
+                            .map(|f| format!("{}, ", f.name))
                             .collect();
+                        let map = map_expr(fields, str::to_string);
                         arms.push_str(&format!(
-                            "{name}::{vn} {{ {} }} => ::serde::Value::Map(vec![(\"{vn}\".to_string(), ::serde::Value::Map(vec![{}]))]),\n",
-                            binds.join(", "),
-                            sers.join(", ")
+                            "{name}::{vn} {{ {binds}.. }} => ::serde::Value::Map(vec![(\"{vn}\".to_string(), {map})]),\n"
                         ));
                     }
                 }
@@ -313,20 +361,7 @@ fn gen_serialize(item: &Item) -> String {
 fn gen_deserialize(item: &Item) -> String {
     match item {
         Item::Struct { name, fields } => {
-            let mut inits = String::new();
-            for f in fields {
-                if f.skip {
-                    inits.push_str(&format!(
-                        "{n}: ::std::default::Default::default(),\n",
-                        n = f.name
-                    ));
-                } else {
-                    inits.push_str(&format!(
-                        "{n}: ::serde::get_field(m, \"{n}\", \"{name}\")?,\n",
-                        n = f.name
-                    ));
-                }
-            }
+            let inits = field_inits(fields, name);
             format!(
                 "impl ::serde::Deserialize for {name} {{\n\
                  fn deserialize(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
@@ -366,24 +401,11 @@ fn gen_deserialize(item: &Item) -> String {
                         ));
                     }
                     VariantShape::Struct(fields) => {
-                        let inits: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                if f.skip {
-                                    format!("{n}: ::std::default::Default::default()", n = f.name)
-                                } else {
-                                    format!(
-                                        "{n}: ::serde::get_field(m2, \"{n}\", \"{name}::{vn}\")?",
-                                        n = f.name
-                                    )
-                                }
-                            })
-                            .collect();
+                        let inits = field_inits(fields, &format!("{name}::{vn}"));
                         keyed_arms.push_str(&format!(
                             "\"{vn}\" => {{\n\
-                             let m2 = inner.expect_map(\"{name}::{vn}\")?;\n\
-                             ::std::result::Result::Ok({name}::{vn} {{ {} }})\n}}\n",
-                            inits.join(", ")
+                             let m = inner.expect_map(\"{name}::{vn}\")?;\n\
+                             ::std::result::Result::Ok({name}::{vn} {{ {inits} }})\n}}\n"
                         ));
                     }
                 }
