@@ -30,6 +30,7 @@ use cardest_data::vector::{VectorData, VectorView};
 use cardest_nn::artifact::ArtifactError;
 use cardest_nn::metrics::decode_log_card;
 use cardest_nn::net::BranchNet;
+use cardest_nn::parallel;
 use cardest_nn::scratch::with_thread_scratch;
 use cardest_nn::tensor::dot;
 use cardest_nn::trainer::{train_branch_regression, TrainConfig};
@@ -441,7 +442,7 @@ impl GlEstimator {
         // Per-segment ln-card predictions for the grouped rows.
         let mut seg_preds: Vec<Vec<f32>> = vec![Vec::new(); n_seg];
         let work: usize = groups.iter().map(Vec::len).sum();
-        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let threads = parallel::available_cores();
         if work <= 64 || threads <= 1 {
             // Small batches: the scoped-thread fan-out costs more than it
             // saves; run the per-segment batches on this thread.

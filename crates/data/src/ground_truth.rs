@@ -26,7 +26,7 @@ impl DistanceTable {
         let n_queries = queries.len();
         let n_data = data.len();
         let mut dists = vec![0.0f32; n_queries * n_data];
-        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let threads = cardest_nn::parallel::available_cores();
         let chunk = n_queries.div_ceil(threads.max(1)).max(1);
         std::thread::scope(|s| {
             for (t, slice) in dists.chunks_mut(chunk * n_data).enumerate() {

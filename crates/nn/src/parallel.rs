@@ -20,6 +20,7 @@
 
 use crate::scratch::Scratch;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Process-wide training thread count; 0 means "ask the OS".
 static TRAIN_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -31,10 +32,18 @@ pub fn set_train_threads(n: usize) {
     TRAIN_THREADS.store(n, Ordering::Relaxed);
 }
 
+/// Cores available to this process, asked of the OS once:
+/// `available_parallelism` reads cgroup files on every call (~20 µs), too
+/// slow for a per-request fan-out decision.
+pub fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
 /// The effective process-wide training thread count.
 pub fn train_threads() -> usize {
     match TRAIN_THREADS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        0 => available_cores(),
         n => n,
     }
 }
