@@ -151,6 +151,43 @@ fn gemm_cases(c: &mut Criterion, results: &mut Vec<CaseResult>) {
     });
 }
 
+/// GL+'s Aminer local `Dense(4096→16)` at its mean group size of 14 rows:
+/// the row-by-row reference against the inference path, which reads
+/// weight panels `Dense` packed once ([`gemm::pack_nt`]) instead of
+/// packing them on every call.
+fn dense_infer_case(c: &mut Criterion, results: &mut Vec<CaseResult>) {
+    let (rows, k, n) = (14, 4096, 16);
+    let mut rng = StdRng::seed_from_u64(0xDE45);
+    let a = random_matrix(&mut rng, rows, k);
+    let w = random_matrix(&mut rng, n, k);
+    let mut packed = Vec::new();
+    gemm::pack_nt(w.as_slice(), k, n, &mut packed);
+    let mut out = vec![0.0f32; rows * n];
+
+    let mut group = c.benchmark_group("gemm_kernels");
+    group.sample_size(10);
+    group.bench_function("matmul_nt_14x4096_16x4096/reference", |bch| {
+        bch.iter(|| black_box(gemm::reference::matmul_nt(black_box(&a), black_box(&w))))
+    });
+    group.bench_function("matmul_nt_14x4096_16x4096/prepacked", |bch| {
+        bch.iter(|| gemm::matmul_nt_packed(black_box(a.as_slice()), &packed, &mut out, rows, k, n))
+    });
+    group.finish();
+
+    let (reference_ns, kernel_ns) = median_ns_pair(
+        || {
+            black_box(gemm::reference::matmul_nt(black_box(&a), black_box(&w)));
+        },
+        || gemm::matmul_nt_packed(black_box(a.as_slice()), &packed, &mut out, rows, k, n),
+    );
+    results.push(CaseResult {
+        group: "gemm_kernels",
+        case: "matmul_nt_14x4096_16x4096",
+        reference_ns,
+        kernel_ns,
+    });
+}
+
 const DIST_N: usize = 10_000;
 const DIST_DIM: usize = 128;
 
@@ -248,6 +285,7 @@ fn write_json(results: &[CaseResult]) {
 fn bench(c: &mut Criterion) {
     let mut results = Vec::new();
     gemm_cases(c, &mut results);
+    dense_infer_case(c, &mut results);
     distance_cases(c, &mut results);
     for r in &results {
         println!(
